@@ -15,8 +15,8 @@
 // record covers a whole contiguous bulk transfer (base effective time
 // plus a constant per-line stride), so an m-line RMA op costs one pending
 // record instead of m per-line map entries. WriteLines/ReadLinesInto are
-// the bulk entry points; WriteLine/ReadLine/ReadInto remain as the
-// single-line special case.
+// the bulk entry points; WriteLine/ReadLine remain as the single-line
+// special case.
 package mem
 
 import (
@@ -420,13 +420,6 @@ func (m *MPB) ReadLine(line int, t sim.Time) []byte {
 	out := make([]byte, scc.CacheLine)
 	copy(out, m.data[line*scc.CacheLine:])
 	return out
-}
-
-// ReadInto copies the line visible at time t into dst (≥32 bytes).
-func (m *MPB) ReadInto(dst []byte, line int, t sim.Time) {
-	m.checkLine(line)
-	m.settle(line, t)
-	copy(dst[:scc.CacheLine], m.data[line*scc.CacheLine:])
 }
 
 // ReadLinesInto copies n consecutive lines starting at line0 into dst

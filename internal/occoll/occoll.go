@@ -45,6 +45,7 @@ import (
 	"repro/internal/rcce"
 	"repro/internal/rma"
 	"repro/internal/scc"
+	"repro/internal/sim"
 )
 
 // Config re-uses OC-Bcast's configuration: K, BufLines and DoubleBuffer
@@ -141,10 +142,8 @@ type Collectives struct {
 	nissued  uint64
 	finished bool
 
-	// freeReqs recycles completed request frames — the struct and its
-	// resume/yield channel pair — so a loop of collectives stops
-	// allocating per issue (the protocol goroutine itself is respawned;
-	// exited goroutines are cheap, parked ones would pin the chip).
+	// freeReqs recycles completed requests (each is its protocol's
+	// frame) so a loop of collectives stops allocating per issue.
 	freeReqs []*Request
 }
 
@@ -184,11 +183,12 @@ func (x *Collectives) LaneIssues() []uint64 {
 
 // lane is one independent slice of the MPB layout: chunk buffers plus a
 // flag block. All cores use identical lane layouts, so a lane's line
-// numbers address the same protocol slot on every peer. Flag waits
-// forward to the occupying request (see lane.wait): blocking requests
-// wait with rma.WaitFlagGE (parking the simulated proc on the engine's
-// run queue); requests being advanced by Test/Progress poll with
-// rma.TryFlagGE and park the protocol coroutine instead.
+// numbers address the same protocol slot on every peer. The lane's
+// protocols run as the frame of the request occupying it (see
+// Request.wait): a request being waited on blocks the simulated proc on
+// each flag, one advanced by Test/Progress polls the flag and, when it
+// has not arrived, parks the frame — a saved program counter — until
+// the next poll.
 type lane struct {
 	x        *Collectives
 	idx      int
@@ -201,12 +201,6 @@ type lane struct {
 	// dnUsed is streamDown's reusable slot-occupancy table.
 	dnUsed []occupant
 }
-
-// wait is the lane protocols' flag-wait hook; it dispatches to the
-// request occupying the lane. A method rather than a per-issue
-// `r.waitGE` method-value field: binding that closure allocated on
-// every issue.
-func (l *lane) wait(line int, seq uint64) { l.req.waitGE(line, seq) }
 
 // occupant records which child's transfer last staged into an MPB slot,
 // and its per-edge sequence number, for streamDown's occupancy waits.
@@ -244,26 +238,30 @@ func (x *Collectives) checkArgs(root, addr, lines int) (ok bool) {
 	return p > 1
 }
 
-// begin quiesces the chip and resets this core's lane flag lines, so
-// per-operation sequence numbers can restart at 1 regardless of what ran
-// before. It returns this core's tree node.
-func (l *lane) begin(root int) core.Tree {
-	c, x := l.x.core, l.x
-	// Zero my flag lines BEFORE the barrier: at this point nothing is in
-	// flight toward them (the lane's previous occoll operation drained,
-	// and non-occoll writers — e.g. a large RCCE send staging over this
-	// region — complete synchronously), and no peer re-enters the
-	// protocol until it passes the barrier below.
-	var zero [scc.CacheLine]byte
-	for ln := l.flagBase; ln <= l.flagBase+2*x.cfg.K+1; ln++ {
-		c.WriteLocalLine(ln, zero[:])
+// stepBegin is the first phase of every request: it quiesces the chip
+// and resets this core's lane flag lines, so per-operation sequence
+// numbers can restart at 1 regardless of what ran before. The flag
+// lines are zeroed BEFORE the barrier: at this point nothing is in
+// flight toward them (the lane's previous occoll operation drained, and
+// non-occoll writers — e.g. a large RCCE send staging over this region —
+// complete synchronously), and no peer re-enters the protocol until it
+// passes the barrier. The barrier guarantees every core finished all
+// earlier collectives on this lane — no stale reader of this core's lane
+// buffers survives it. Its waits always block, whatever the request's
+// wait mode.
+func (r *Request) stepBegin() sim.StepStatus {
+	l, x := r.lane, r.x
+	if r.i < 2*x.cfg.K+2 {
+		r.i++
+		return x.core.CallWriteLocalLine(l.flagBase+r.i-1, zeroLine[:])
 	}
-	// The barrier guarantees every core finished all earlier collectives
-	// on this lane — no stale reader of this core's lane buffers survives
-	// it.
-	x.port.Barrier()
-	return core.TreeFor(c.ID(), root, c.N(), x.cfg.K)
+	r.pc = pcEnd
+	return x.port.CallBarrier()
 }
+
+// zeroLine is the cleared flag line stepBegin writes (MPB writes copy
+// their source, so one shared line serves every core).
+var zeroLine [scc.CacheLine]byte
 
 // chunkSpan returns the line count of chunk ch out of `lines` total.
 func (x *Collectives) chunkSpan(ch, lines int) int {
@@ -321,3 +319,33 @@ func preorderRanks(r, p, k int, out []int) []int {
 
 // rankID maps a rank back to a core id for root s on p cores.
 func rankID(rank, s, p int) int { return (s + rank) % p }
+
+// seq is chunk ch's 1-based flag sequence number.
+func seq(ch int) uint64 { return uint64(ch) + 1 }
+
+// chunk reports the request's current chunk ch of a `lines`-line
+// message: its size in lines, its lane buffer line and its
+// private-memory byte address.
+func (r *Request) chunk(lines int) (m, buf, chunkAddr int) {
+	return r.x.chunkSpan(r.ch, lines), r.lane.bufLine(r.ch), r.addr + r.ch*r.x.cfg.BufLines*scc.CacheLine
+}
+
+// blockChunk reports the size and private-memory byte address of the
+// request's current chunk ch within block b of a layout of `lines`-line
+// blocks at addr (scatter, gather and the ring address one block per
+// core).
+func (r *Request) blockChunk(b int) (m, addr int) {
+	cfg := r.x.cfg
+	return r.x.chunkSpan(r.ch, r.lines), r.addr + b*r.lines*scc.CacheLine + r.ch*cfg.BufLines*scc.CacheLine
+}
+
+// nextChunk advances to the next chunk of the current block and reports
+// whether the block is complete (ch wraps to 0).
+func (r *Request) nextChunk() bool {
+	r.ch++
+	if r.ch < r.x.nchunks(r.lines) {
+		return false
+	}
+	r.ch = 0
+	return true
+}

@@ -2,8 +2,7 @@ package occoll
 
 import (
 	"repro/internal/collective"
-	"repro/internal/core"
-	"repro/internal/scc"
+	"repro/internal/sim"
 )
 
 // Reduce combines every core's `lines` cache lines at addr with op; the
@@ -22,10 +21,8 @@ func (x *Collectives) IReduce(root, addr, lines int, op ReduceOp) *Request {
 	if op == nil {
 		panic("occoll: nil reduce op")
 	}
-	return x.issue("IReduce", root, addr, lines, op, runIReduce)
+	return x.issue("IReduce", root, addr, lines, op, progReduce)
 }
-
-func runIReduce(r *Request) { r.lane.reduceUp(r.tree, r.addr, r.lines, r.rop) }
 
 // AllReduce is OC-Reduce fused with an OC-Bcast of the result: both
 // halves share one propagation tree and the same double-buffered MPB
@@ -42,59 +39,85 @@ func (x *Collectives) IAllReduce(addr, lines int, op ReduceOp) *Request {
 	if op == nil {
 		panic("occoll: nil reduce op")
 	}
-	return x.issue("IAllReduce", 0, addr, lines, op, runIAllReduce)
+	return x.issue("IAllReduce", 0, addr, lines, op, progAllReduce)
 }
 
-func runIAllReduce(r *Request) {
-	r.lane.reduceUp(r.tree, r.addr, r.lines, r.rop)
-	r.lane.bcastDown(r.tree, r.addr, r.lines)
-}
+// reduceUp frame states (Request.pc during a phReduce phase).
+const (
+	ruSlot    uint8 = iota // wait until the parent consumed the slot's previous chunk
+	ruStage                // stage my own contribution as the slot's accumulator
+	ruChild                // wait for child i's staged chunk, or finish the chunk
+	ruCombine              // fold child i's chunk into the accumulator
+	ruCompute              // charge the combine arithmetic
+	ruAck                  // release child i's slot
+	ruNext                 // next chunk
+	ruDrain                // parent consumed my last staged chunks
+)
 
-// reduceUp runs the reduction pipeline toward the root. Per chunk, a
-// node stages its own contribution into its MPB slot, folds in each
-// child's staged chunk with rma.GetMPBCombine (waiting on the child's
-// upReady flag, acking with the child's upConsumed flag), then flags its
-// own parent. The root instead drains the fully combined chunk to
-// private memory. Flags carry 1-based chunk sequence numbers; slots are
-// reused double-buffered like OC-Bcast (§4.2).
-func (l *lane) reduceUp(t core.Tree, addr, lines int, op ReduceOp) {
-	x := l.x
-	c, cfg := x.core, x.cfg
-	n := x.nchunks(lines)
+// stepReduce is reduceUp as a frame stepper: the reduction pipeline
+// toward the root. Per chunk, a node stages its own contribution into
+// its MPB slot, folds in each child's staged chunk with
+// rma.GetMPBCombine (waiting on the child's upReady flag, acking with
+// the child's upConsumed flag), then flags its own parent. The root
+// instead drains the fully combined chunk to private memory. Flags carry
+// 1-based chunk sequence numbers; slots are reused double-buffered like
+// OC-Bcast (§4.2). Children are folded in child order (deterministic
+// and, for the integer ops, exactly associative — results are
+// byte-identical to the two-sided composition).
+func (r *Request) stepReduce() sim.StepStatus {
+	l, x, t := r.lane, r.x, &r.tree
+	c := x.core
 	nb := x.numBuffers()
-	seq := func(ch int) uint64 { return uint64(ch) + 1 }
-
-	for ch := 0; ch < n; ch++ {
-		m := x.chunkSpan(ch, lines)
-		off := addr + ch*cfg.BufLines*scc.CacheLine
-		buf := l.bufLine(ch)
-
-		// Reuse my accumulator slot only after my parent consumed the
-		// chunk that previously occupied it.
-		if t.Rank != 0 && ch >= nb {
-			l.wait(l.upConsumedLine(), seq(ch-nb))
+	n := x.nchunks(r.lines)
+	for {
+		switch r.pc {
+		case ruSlot:
+			if r.ch == n {
+				r.pc = ruDrain
+				continue
+			}
+			if t.Rank != 0 && r.ch >= nb {
+				return r.await(ruStage, l.upConsumedLine(), seq(r.ch-nb))
+			}
+			r.pc = ruStage
+		case ruStage:
+			m, buf, off := r.chunk(r.lines)
+			r.i, r.pc = 0, ruChild
+			return c.CallPutMemToMPB(c.ID(), buf, off, m)
+		case ruChild:
+			if r.i < len(t.Children) {
+				return r.await(ruCombine, l.upReadyLine(r.i), seq(r.ch))
+			}
+			r.pc = ruNext
+			if t.Rank == 0 {
+				// Root: land the fully combined chunk in private memory.
+				m, buf, off := r.chunk(r.lines)
+				return c.CallGetMPBToMem(c.ID(), buf, off, m)
+			}
+			return c.CallSetFlag(t.Parent, l.upReadyLine(t.ChildIdx), seq(r.ch))
+		case ruCombine:
+			m, buf, _ := r.chunk(r.lines)
+			r.pc = ruCompute
+			return c.CallGetMPBCombine(t.Children[r.i], buf, buf, m, r.rop)
+		case ruCompute:
+			m, _, _ := r.chunk(r.lines)
+			r.pc = ruAck
+			return c.CallCompute(collective.CombineCost(m))
+		case ruAck:
+			r.i++
+			r.pc = ruChild
+			return c.CallSetFlag(t.Children[r.i-1], l.upConsumedLine(), seq(r.ch))
+		case ruNext:
+			r.ch++
+			r.pc = ruSlot
+		default: // ruDrain
+			// My parent must have consumed my last staged chunks before
+			// the phase ends (or hands the slots to AllReduce's
+			// broadcast half).
+			if t.Rank == 0 {
+				return phaseDone
+			}
+			return r.await(pcEnd, l.upConsumedLine(), seq(n-1))
 		}
-		// Stage my own contribution as the slot's accumulator.
-		c.PutMemToMPB(c.ID(), buf, off, m)
-		// Fold in each child's chunk, in child order (deterministic and,
-		// for the integer ops, exactly associative — results are
-		// byte-identical to the two-sided composition).
-		for i, child := range t.Children {
-			l.wait(l.upReadyLine(i), seq(ch))
-			c.GetMPBCombine(child, buf, buf, m, op)
-			c.Compute(collective.CombineCost(m))
-			c.SetFlag(child, l.upConsumedLine(), seq(ch))
-		}
-		if t.Rank == 0 {
-			// Root: land the fully combined chunk in private memory.
-			c.GetMPBToMem(c.ID(), buf, off, m)
-		} else {
-			c.SetFlag(t.Parent, l.upReadyLine(t.ChildIdx), seq(ch))
-		}
-	}
-	// Drain: my parent must have consumed my last staged chunks before I
-	// return (or hand the slots to AllReduce's broadcast half).
-	if t.Rank != 0 {
-		l.wait(l.upConsumedLine(), seq(n-1))
 	}
 }

@@ -1,11 +1,11 @@
 package occoll
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // The progress engine.
@@ -21,41 +21,23 @@ import (
 // The parked protocol is advanced only when the core calls Progress,
 // Request.Test or Request.Wait (MPI-style: communication progresses
 // inside library calls). Progress and Test poll the pending flag with
-// rma.TryFlagGE — a failed probe costs no virtual time, a successful one
-// charges the same single C^mpb_r(1) poll read the blocking path charges
-// — and let the protocol run until its next unsatisfied wait. Wait
-// switches the protocol's waits to rma.WaitFlagGE, which parks the
-// simulated proc on the engine's run queue (internal/sim's indexed heap)
-// until a peer's flag write signals the watched MPB line; the blocking
-// collectives are exactly issue + Wait, which is why their simulated
-// timings are byte-identical to the pre-engine run-to-completion loops.
+// rma.CallTryFlagGE — a failed probe costs no virtual time, a successful
+// one charges the same single C^mpb_r(1) poll read the blocking path
+// charges — and let the protocol run until its next unsatisfied wait.
+// Wait switches the protocol's waits to rma.CallWaitFlagGE, which parks
+// the simulated proc on the engine's run queue (internal/sim's indexed
+// heap) until a peer's flag write signals the watched MPB line; the
+// blocking collectives are exactly issue + Wait, which is why their
+// simulated timings are byte-identical to the pre-engine
+// run-to-completion loops.
 //
-// Each protocol runs on its own goroutine, but exactly one goroutine per
-// simulated core is ever runnable: control transfers synchronously
-// between the core's body function and a request's protocol through the
-// resume/yield channel pair, so the protocol is a resumable state machine
-// whose program counter is its goroutine stack. Determinism is untouched
-// — the simulated proc is embodied by exactly one goroutine at a time.
-
-// waitMode selects how a request protocol's flag waits behave.
-type waitMode int
-
-const (
-	// modeTry polls once with rma.TryFlagGE and parks the protocol
-	// coroutine (yielding back to the driver) when the flag has not
-	// arrived — the Test/Progress path.
-	modeTry waitMode = iota
-	// modeBlock waits with rma.WaitFlagGE, parking the simulated proc on
-	// the scheduler until the flag write arrives — the Wait path.
-	modeBlock
-	// modeAbort makes the protocol unwind with errAbandoned so its
-	// goroutine exits — Finish's cleanup for leaked requests.
-	modeAbort
-)
-
-// errAbandoned unwinds an abandoned protocol coroutine; it never escapes
-// the request (body swallows it).
-var errAbandoned = errors.New("occoll: request abandoned")
+// Each request's protocol is one resumable sim.Frame (reqFrame) whose
+// program counter lives in the Request: issue, Progress, Test and Wait
+// all run it with rma.Core.Exec, so it executes on whichever goroutine
+// holds the control token, like every other protocol frame, and needs
+// no goroutine of its own. A try-mode wait whose flag has not arrived
+// ends the stint (the frame returns StepDone with its program counter
+// still on the wait), and the next Exec retries that same wait.
 
 // Request is the handle of one in-flight non-blocking collective. A
 // request must be completed — observed by exactly one successful Test or
@@ -66,21 +48,23 @@ type Request struct {
 	op   string
 	lane *lane
 
-	// The protocol program: a static per-operation function plus its
-	// arguments, carried in the frame (instead of a per-issue closure)
+	// The protocol program: a static per-operation phase list plus its
+	// arguments, carried in the request (instead of a per-issue closure)
 	// so a warmed issue loop allocates nothing here.
-	run   func(*Request)
+	prog  []phase
 	tree  core.Tree
 	addr  int
 	lines int
 	rop   ReduceOp
 
-	mode     waitMode
+	// block selects how the frame's flag waits behave: false polls once
+	// and parks the frame (issue, Test, Progress), true blocks the
+	// simulated proc until the flag arrives (Wait, lane reuse).
+	block    bool
 	done     bool // protocol locally complete (lane drained)
 	consumed bool // completion observed by Wait or a true Test
 
-	// pendLine/pendSeq describe the flag wait the protocol is parked on
-	// (valid while parked in modeTry).
+	// pendLine/pendSeq describe the flag wait the frame is parked on.
 	pendLine int
 	pendSeq  uint64
 
@@ -89,15 +73,16 @@ type Request struct {
 	// requests on the same core's track.
 	obsID int64
 
-	panicVal any
-	resume   chan struct{} // driver -> protocol: run
-	yield    chan struct{} // protocol -> driver: parked or finished
-
-	// start spawns the protocol coroutine: a zero-argument closure over
-	// the frame, built once per frame and kept across recycles. A go
-	// statement on a zero-arg func value allocates nothing, whereas
-	// `go f(r)` heap-allocates a hidden wrapper closure per issue.
-	start func()
+	// The frame's resume state: phase index, program counter within the
+	// phase, and the phase's loop positions — chunk ch, child or ring
+	// step i, preorder position j over pre, and per-edge transfer
+	// sequence tr.
+	ph   int
+	pc   uint8
+	ch   int
+	i, j int
+	tr   uint64
+	pre  []int
 }
 
 // Op reports the name of the collective the request was issued by (e.g.
@@ -105,10 +90,10 @@ type Request struct {
 func (r *Request) Op() string { return r.op }
 
 // issue starts a non-blocking collective: argument validation, lane
-// claim, begin (flag zeroing + barrier), then the protocol coroutine,
-// eagerly advanced to its first unsatisfied flag wait so communication
-// starts at issue time.
-func (x *Collectives) issue(op string, root, addr, lines int, rop ReduceOp, run func(*Request)) *Request {
+// claim, then the protocol frame — begin (flag zeroing + barrier) and
+// the lane protocols — eagerly advanced to its first unsatisfied flag
+// wait so communication starts at issue time.
+func (x *Collectives) issue(op string, root, addr, lines int, rop ReduceOp, prog []phase) *Request {
 	if x.finished {
 		panic(fmt.Sprintf("occoll: %s issued after its core finished", op))
 	}
@@ -128,41 +113,34 @@ func (x *Collectives) issue(op string, root, addr, lines int, rop ReduceOp, run 
 	}
 	r := x.newRequest()
 	r.x, r.op, r.lane = x, op, l
-	r.run, r.addr, r.lines, r.rop = run, addr, lines, rop
+	r.prog, r.addr, r.lines, r.rop = prog, addr, lines, rop
 	if o := x.core.Obs(); o != nil {
 		r.obsID = o.AsyncID()
 		o.AsyncBegin(r.obsID, x.core.ID(), int64(x.core.Now()), "occoll", op,
 			obs.Arg{Key: "lane", Val: int64(l.idx)}, obs.Arg{Key: "lines", Val: int64(lines)})
 	}
 	l.req = r
-	r.tree = l.begin(root)
-	go r.start()
+	r.tree = core.TreeFor(x.core.ID(), root, x.core.N(), x.cfg.K)
 	x.compactReqs() // keep the list bounded by in-flight requests
 	x.reqs = append(x.reqs, r)
-	r.advance(modeTry)
+	r.run(false)
 	if o := x.core.Obs(); o != nil {
 		o.Counter(x.core.ID(), int64(x.core.Now()), "occoll", "inflight", int64(x.Outstanding()))
 	}
 	return r
 }
 
-// newRequest returns a recycled request frame when one is free, else a
-// fresh one with its resume/yield channel pair. Recycled frames are
-// zeroed except for the channels; the caller fills x/op/lane.
+// newRequest returns a recycled (zeroed) request when one is free, else
+// a fresh one; the caller fills x/op/lane.
 func (x *Collectives) newRequest() *Request {
 	if n := len(x.freeReqs); n > 0 {
 		r := x.freeReqs[n-1]
 		x.freeReqs[n-1] = nil
 		x.freeReqs = x.freeReqs[:n-1]
-		*r = Request{resume: r.resume, yield: r.yield, start: r.start}
+		*r = Request{}
 		return r
 	}
-	r := &Request{
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	r.start = func() { r.body() }
-	return r
+	return &Request{}
 }
 
 // reqFreeListMax bounds the free list; a serial issue/Wait loop keeps it
@@ -173,10 +151,10 @@ const reqFreeListMax = 16
 // compactReqs drops fully finished requests — protocol done AND handle
 // consumed — from the outstanding list, bounding it by the number of
 // requests still in flight or awaiting their Wait/Test, and recycles
-// the dropped frames. Done-but-unconsumed requests are kept so Finish
+// the dropped requests. Done-but-unconsumed requests are kept so Finish
 // can flag them as leaked.
 //
-// A recycled frame means a stale handle kept across a later issue
+// A recycled request means a stale handle kept across a later issue
 // aliases the new request, so the double-completion panic in
 // checkUsable is only guaranteed until the core's next issue; the
 // request contract (a handle is dead after its Wait or true Test)
@@ -186,7 +164,7 @@ func (x *Collectives) compactReqs() {
 	for _, r := range x.reqs {
 		if !r.done || !r.consumed {
 			live = append(live, r)
-		} else if r.resume != nil && len(x.freeReqs) < reqFreeListMax {
+		} else if r.lane != nil && len(x.freeReqs) < reqFreeListMax {
 			x.freeReqs = append(x.freeReqs, r)
 		}
 	}
@@ -196,71 +174,138 @@ func (x *Collectives) compactReqs() {
 	x.reqs = live
 }
 
-// body is the protocol coroutine: it waits for the first resume, runs the
-// lane protocol, and hands control back marking the request done. A panic
-// inside the protocol (a programming error or a simulated deadlock being
-// torn down) is captured and re-raised on the driving goroutine.
-func (r *Request) body() {
-	<-r.resume
-	defer func() {
-		if p := recover(); p != nil && p != errAbandoned {
-			r.panicVal = p
-		}
-		r.done = true
-		// Emit before handing control back: after the yield send the
-		// driver goroutine may record, and the recorder is unlocked.
-		if o := r.x.core.Obs(); o != nil && r.obsID != 0 {
-			now := int64(r.x.core.Now())
-			o.AsyncEnd(r.obsID, r.x.core.ID(), now, "occoll", r.op)
-			o.Counter(r.x.core.ID(), now, "occoll", "inflight", int64(r.x.Outstanding()))
-		}
-		r.yield <- struct{}{}
-	}()
-	r.run(r)
+// run executes the request's frame from its program counter with the
+// given wait behaviour: to completion when block, else until the first
+// flag that has not arrived (or completion).
+func (r *Request) run(block bool) {
+	r.block = block
+	r.x.core.Exec((*reqFrame)(r))
 }
 
-// advance transfers control to the protocol coroutine in the given wait
-// mode and returns when it parks on a flag or finishes.
-func (r *Request) advance(m waitMode) {
-	r.mode = m
-	r.resume <- struct{}{}
-	<-r.yield
-	if r.panicVal != nil {
-		p := r.panicVal
-		r.panicVal = nil
-		panic(p)
+// reqFrame is a Request seen as its protocol's sim.Frame. The separate
+// type keeps Step out of the public Request method set.
+type reqFrame Request
+
+// Step runs the request's phases from the saved program counter; a
+// phase whose last act was a wait finishes on re-entry at pcEnd.
+func (f *reqFrame) Step(*sim.Proc) sim.StepStatus {
+	r := (*Request)(f)
+	for r.ph < len(r.prog) {
+		if r.pc != pcEnd {
+			if st := r.stepPhase(r.prog[r.ph]); st != phaseDone {
+				return st
+			}
+		}
+		r.ph++
+		r.pc, r.ch, r.i, r.j, r.tr, r.pre = 0, 0, 0, 0, 0, nil
+	}
+	r.finish()
+	return sim.StepDone
+}
+
+// stepPhase steps phase ph from the saved program counter and returns
+// the status to hand the driver, or phaseDone once the phase finished.
+func (r *Request) stepPhase(ph phase) sim.StepStatus {
+	switch ph {
+	case phBegin:
+		return r.stepBegin()
+	case phBcast:
+		return r.stepBcast(r.lines)
+	case phBcastAll:
+		return r.stepBcast(r.lines * r.tree.P)
+	case phReduce:
+		return r.stepReduce()
+	case phRing:
+		return r.stepRing()
+	case phRecvSubtree:
+		return r.stepRecvSubtree()
+	case phStreamDown:
+		return r.stepStreamDown()
+	default: // phGather
+		return r.stepGather()
 	}
 }
 
-// waitGE is the lane's flag-wait hook while this request owns it. It runs
-// on the protocol coroutine: in modeBlock it simply blocks the simulated
-// proc like the classic run-to-completion loop did; in modeTry it polls
-// once and, if the flag has not arrived, parks the coroutine until the
-// driver's next advance (which may have switched the mode — a Wait after
-// some Progress calls finishes the protocol in modeBlock).
-func (r *Request) waitGE(line int, seq uint64) {
-	for {
-		switch r.mode {
-		case modeBlock:
-			r.x.core.WaitFlagGE(line, seq)
-			return
-		case modeAbort:
-			panic(errAbandoned)
-		}
-		if r.x.core.TryFlagGE(line, seq) {
-			return
-		}
-		r.pendLine, r.pendSeq = line, seq
-		r.yield <- struct{}{}
-		<-r.resume
+// phase is one step of a request's program: every program starts with
+// phBegin, then runs its lane protocol — the fused operations run two
+// in sequence on the same lane and tree.
+type phase uint8
+
+const (
+	phBegin       phase = iota // flag zeroing + barrier (stepBegin)
+	phBcast                    // bcastDown of the request's lines
+	phBcastAll                 // bcastDown of all P blocks (AllGather's second half)
+	phReduce                   // reduceUp
+	phRing                     // ringAllGather
+	phRecvSubtree              // recvSubtree (non-root Scatter half)
+	phStreamDown               // streamDown
+	phGather                   // gatherUp
+)
+
+// phaseDone is the status a phase stepper returns when its phase has
+// finished; it never reaches the sim driver.
+const phaseDone = sim.StepDone + 1
+
+// pcEnd is the program counter of a phase whose final wait was pushed
+// (see await); every phase's state constants stay below it.
+const pcEnd uint8 = 255
+
+// The per-operation programs (static, shared read-only by all requests).
+var (
+	progBcast     = []phase{phBegin, phBcast}
+	progReduce    = []phase{phBegin, phReduce}
+	progAllReduce = []phase{phBegin, phReduce, phBcast}
+	progRing      = []phase{phBegin, phRing}
+	progScatter   = []phase{phBegin, phRecvSubtree, phStreamDown}
+	progGather    = []phase{phBegin, phGather}
+	progAllGather = []phase{phBegin, phGather, phBcastAll}
+)
+
+// wait is the frames' flag-wait resume point. Blocking, it pushes an
+// rma wait as a child; polling, it pushes the charged poll when the
+// flag has already arrived. It reports whether a child was pushed (the
+// stepper then returns StepCall). false means the flag has not arrived:
+// the request is parked on (line, seq) and the stepper returns StepDone
+// with its program counter still on the wait, so the next run retries it.
+func (r *Request) wait(line int, seq uint64) bool {
+	c := r.x.core
+	if r.block {
+		c.CallWaitFlagGE(line, seq)
+		return true
+	}
+	if c.CallTryFlagGE(line, seq) {
+		return true
+	}
+	r.pendLine, r.pendSeq = line, seq
+	return false
+}
+
+// await is wait for a stepper's single-wait states: once the wait is
+// pushed it moves to state next and returns StepCall; on a park it
+// returns StepDone with the program counter unchanged.
+func (r *Request) await(next uint8, line int, seq uint64) sim.StepStatus {
+	if !r.wait(line, seq) {
+		return sim.StepDone
+	}
+	r.pc = next
+	return sim.StepCall
+}
+
+// finish marks the protocol complete and closes its trace span.
+func (r *Request) finish() {
+	r.done = true
+	if o := r.x.core.Obs(); o != nil && r.obsID != 0 {
+		now := int64(r.x.core.Now())
+		o.AsyncEnd(r.obsID, r.x.core.ID(), now, "occoll", r.op)
+		o.Counter(r.x.core.ID(), now, "occoll", "inflight", int64(r.x.Outstanding()))
 	}
 }
 
 // drive runs the protocol to completion with blocking waits, without
 // consuming the handle (used by Wait and by lane reuse at issue).
 func (r *Request) drive() {
-	for !r.done {
-		r.advance(modeBlock)
+	if !r.done {
+		r.run(true)
 	}
 }
 
@@ -330,9 +375,8 @@ func (x *Collectives) Progress() {
 			continue
 		}
 		// Every live request is parked on (pendLine, pendSeq); probe the
-		// flag for free before paying the context switch into the
-		// protocol coroutine. The coroutine re-polls with TryFlagGE,
-		// which charges the successful poll read.
+		// flag for free before resuming the frame, which re-polls with
+		// CallTryFlagGE and so charges the successful poll read.
 		if !x.core.ProbeFlagGE(r.pendLine, r.pendSeq) {
 			continue
 		}
@@ -340,7 +384,7 @@ func (x *Collectives) Progress() {
 			o.Instant(x.core.ID(), int64(x.core.Now()), "occoll", "progress.resume",
 				obs.Arg{Key: "lane", Val: int64(r.lane.idx)}, obs.Arg{Key: "line", Val: int64(r.pendLine)})
 		}
-		r.advance(modeTry)
+		r.run(false)
 		advanced = advanced || r.done
 	}
 	if advanced {
@@ -366,35 +410,20 @@ func (x *Collectives) Outstanding() int {
 // waiting on this core's lane flags with nobody left to progress the
 // protocol, and a completed-but-unobserved one is a latent bug, so
 // Finish panics descriptively instead of letting the chip corrupt MPB
-// state or deadlock obscurely — after unwinding any in-flight protocols'
-// coroutines, so a recovered panic leaks no goroutines. The public API
-// calls it when the SPMD body returns; after Finish, any use of the
-// engine or a request handle panics.
+// state or deadlock obscurely. A parked protocol is only a program
+// counter in its request, so nothing needs unwinding first. The public
+// API calls Finish when the SPMD body returns; after Finish, any use of
+// the engine or a request handle panics.
 func (x *Collectives) Finish() {
 	x.finished = true
 	var leaked []string
 	for _, r := range x.reqs {
-		if r.consumed {
-			continue
-		}
-		leaked = append(leaked, r.Op())
-		if !r.done {
-			r.abort()
+		if !r.consumed {
+			leaked = append(leaked, r.Op())
 		}
 	}
 	if len(leaked) > 0 {
 		panic(fmt.Sprintf("occoll: core %d finished with %d unconsumed non-blocking request(s) %v: complete every request with Wait or a true Test before returning",
 			x.core.ID(), len(leaked), leaked))
 	}
-}
-
-// abort unwinds a parked protocol coroutine so its goroutine exits; the
-// request stays incomplete (done is set, but the lane protocol was cut
-// short — the chip is broken, which is why abort only runs on the way
-// into Finish's panic).
-func (r *Request) abort() {
-	r.mode = modeAbort
-	r.resume <- struct{}{}
-	<-r.yield
-	r.panicVal = nil
 }

@@ -2,6 +2,7 @@ package occoll
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -371,5 +372,45 @@ func TestValidateChannels(t *testing.T) {
 	}
 	if err := Validate(Config{K: 7, BufLines: 96, DoubleBuffer: true, Channels: 2}); err == nil {
 		t.Fatal("2 paper-sized lanes cannot fit in 256 lines; want error")
+	}
+}
+
+// TestNoGoroutinePerRequest pins that a request is a frame, not a
+// goroutine: across 50 IAllReduce cycles on 48 cores — each polled by
+// Test between compute slices and finished by Wait — the process's
+// goroutine count never exceeds its value at the first issue.
+func TestNoGoroutinePerRequest(t *testing.T) {
+	const n, cycles, lines = 48, 50, 8
+	cfg := Config{K: 7, BufLines: 4, DoubleBuffer: true}
+	base, peak := -1, 0
+	sample := func() {
+		if g := runtime.NumGoroutine(); g > peak {
+			peak = g
+		}
+	}
+	chip := rma.NewChipN(scc.DefaultConfig(), n)
+	chip.Run(func(c *rma.Core) {
+		x := New(c, rcce.NewPort(c), cfg)
+		for i := 0; i < cycles; i++ {
+			if base < 0 {
+				base = runtime.NumGoroutine()
+			}
+			r := x.IAllReduce(0, lines, collective.SumInt64)
+			sample()
+			done := false
+			for s := 0; s < 3 && !done; s++ {
+				c.Compute(sim.Micros(0.5 * float64(1+c.ID()%3)))
+				done = r.Test()
+				sample()
+			}
+			if !done {
+				r.Wait()
+				sample()
+			}
+		}
+		x.Finish()
+	})
+	if peak > base {
+		t.Fatalf("goroutines rose from %d at the first issue to %d", base, peak)
 	}
 }

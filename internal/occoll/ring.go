@@ -1,8 +1,6 @@
 package occoll
 
-import (
-	"repro/internal/scc"
-)
+import "repro/internal/sim"
 
 // AllGatherRing exchanges every core's `lines`-line block so all cores
 // hold all P blocks id-ordered at addr — like AllGather, but with a
@@ -22,15 +20,27 @@ func (x *Collectives) AllGatherRing(addr, lines int) {
 // exchange and returns a Request to Test or Wait on while the core
 // computes.
 func (x *Collectives) IAllGatherRing(addr, lines int) *Request {
-	return x.issue("IAllGatherRing", 0, addr, lines, nil, runIAllGatherRing)
+	return x.issue("IAllGatherRing", 0, addr, lines, nil, progRing)
 }
 
-func runIAllGatherRing(r *Request) { r.lane.ringAllGather(r.addr, r.lines) }
+// ringAllGather frame states (Request.pc during a phRing phase).
+const (
+	rgSlot   uint8 = iota // wait until the slot's previous transfer was acked
+	rgStage               // stage the outgoing chunk
+	rgNotify              // bump the right neighbour's dnNotify
+	rgRecv                // wait for the left neighbour's chunk
+	rgGet                 // pull it to its final address
+	rgAck                 // ack with the left neighbour's dnDone[0]
+	rgNext                // next chunk / ring step
+	rgDrain               // right neighbour consumed my last staged chunks
+)
 
-// ringAllGather runs the ring pipeline on the lane. Cores form a ring in
-// id order; transfers carry a global 1-based sequence number tr shared by
-// all cores, so slot rotation and flag sequences agree everywhere without
-// negotiation. Per transfer a core
+// stepRing is ringAllGather as a frame stepper: the ring pipeline on
+// the lane. Cores form a ring in id order; transfers carry a global
+// 1-based sequence number tr shared by all cores, so slot rotation and
+// flag sequences agree everywhere without negotiation. Ring step i
+// sends block (me−i) mod P and receives block (me−1−i) mod P, chunk by
+// chunk; per transfer a core
 //
 //  1. waits (slot reuse) until its right neighbour acked the transfer
 //     that previously occupied the slot (own dnDone[0] ≥ tr−nb),
@@ -44,38 +54,52 @@ func runIAllGatherRing(r *Request) { r.lane.ringAllGather(r.addr, r.lines) }
 // Staging (2) never depends on the left neighbour, so the cycle of waits
 // around the ring is broken the same way a pipelined ring of sendrecvs
 // is: every core posts its "send" before blocking on its "receive".
-func (l *lane) ringAllGather(addr, lines int) {
-	x := l.x
-	c, cfg := x.core, x.cfg
-	p := c.N()
-	me := c.ID()
+func (r *Request) stepRing() sim.StepStatus {
+	l, c := r.lane, r.x.core
+	p, me := c.N(), c.ID()
 	left, right := (me-1+p)%p, (me+1)%p
-	nb := x.numBuffers()
-	nchunks := x.nchunks(lines)
-	blockBytes := lines * scc.CacheLine
-
-	var tr uint64
-	for t := 0; t < p-1; t++ {
-		sendBlock := ((me-t)%p + p) % p
-		recvBlock := ((me-1-t)%p + p) % p
-		for chk := 0; chk < nchunks; chk++ {
-			m := x.chunkSpan(chk, lines)
-			off := chk * cfg.BufLines * scc.CacheLine
-			slot := l.slotLine(int(tr) % nb)
-			tr++
-			if tr > uint64(nb) {
-				l.wait(l.dnDoneLine(0), tr-uint64(nb))
+	nb := uint64(r.x.numBuffers())
+	for {
+		switch r.pc {
+		case rgSlot:
+			if r.i == p-1 {
+				r.pc = rgDrain
+				continue
 			}
-			c.PutMemToMPB(me, slot, addr+sendBlock*blockBytes+off, m)
-			c.SetFlag(right, l.dnNotifyLine(), tr)
-			l.wait(l.dnNotifyLine(), tr)
-			c.GetMPBToMem(left, slot, addr+recvBlock*blockBytes+off, m)
-			c.SetFlag(left, l.dnDoneLine(0), tr)
+			if r.tr >= nb {
+				return r.await(rgStage, l.dnDoneLine(0), r.tr+1-nb)
+			}
+			r.pc = rgStage
+		case rgStage:
+			m, src := r.blockChunk(((me-r.i)%p + p) % p)
+			slot := l.slotLine(int(r.tr % nb))
+			r.tr++
+			r.pc = rgNotify
+			return c.CallPutMemToMPB(me, slot, src, m)
+		case rgNotify:
+			r.pc = rgRecv
+			return c.CallSetFlag(right, l.dnNotifyLine(), r.tr)
+		case rgRecv:
+			return r.await(rgGet, l.dnNotifyLine(), r.tr)
+		case rgGet:
+			m, dst := r.blockChunk(((me-1-r.i)%p + p) % p)
+			r.pc = rgAck
+			return c.CallGetMPBToMem(left, l.slotLine(int((r.tr-1)%nb)), dst, m)
+		case rgAck:
+			r.pc = rgNext
+			return c.CallSetFlag(left, l.dnDoneLine(0), r.tr)
+		case rgNext:
+			if r.nextChunk() {
+				r.i++
+			}
+			r.pc = rgSlot
+		default: // rgDrain
+			// The right neighbour must have consumed my last staged
+			// chunks before the lane is handed to the next collective.
+			if r.tr == 0 {
+				return phaseDone
+			}
+			return r.await(pcEnd, l.dnDoneLine(0), r.tr)
 		}
-	}
-	// Drain: the right neighbour must have consumed my last staged chunks
-	// before the lane is handed to the next collective.
-	if tr > 0 {
-		l.wait(l.dnDoneLine(0), tr)
 	}
 }

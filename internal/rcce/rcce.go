@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/rma"
 	"repro/internal/scc"
+	"repro/internal/sim"
 )
 
 // MPB line layout used by the RCCE layer (per core).
@@ -302,4 +303,13 @@ func (p *Port) Barrier() {
 	if right < n {
 		p.core.SetFlag(right, lineBarrierRelease, p.epoch)
 	}
+}
+
+// CallBarrier is Barrier as a child frame, for use inside a
+// sim.Frame.Step of this port's core (the frame then returns the
+// StepCall it reports).
+func (p *Port) CallBarrier() sim.StepStatus {
+	p.epoch++
+	p.bar = barrierFrame{p: p, pc: bWaitA}
+	return p.core.Call(&p.bar)
 }

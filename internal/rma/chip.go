@@ -148,14 +148,6 @@ func (c *Chip) Cache(i int) *mem.Cache { return c.caches[i] }
 // Mesh returns the detailed NoC model, or nil in analytic mode.
 func (c *Chip) Mesh() *noc.Mesh { return c.mesh }
 
-// FlushCaches empties every core's L1 model (between experiment
-// iterations, mirroring the paper's fresh-offset methodology).
-func (c *Chip) FlushCaches() {
-	for _, ca := range c.caches {
-		ca.Flush()
-	}
-}
-
 // Run executes body on every core concurrently in virtual time. A Chip
 // supports one Run per construction or Reset; use AcquireChipN /
 // ReleaseChip (or Reset directly) to reuse a chip across simulations.
@@ -248,14 +240,24 @@ func (c *Core) Chip() *Chip { return c.chip }
 
 // Compute advances the core's clock by d, modelling local computation.
 func (c *Core) Compute(d sim.Duration) {
-	if o := c.chip.obs; o != nil && d > 0 {
-		o.Begin(c.id, int64(c.proc.Now()), "rma", "compute", obs.BucketCompute,
-			obs.Arg{Key: "ps", Val: int64(d)}, obs.Arg{})
-		c.proc.Advance(d)
-		o.End(c.id, int64(c.proc.Now()))
-		return
+	f := &c.opf
+	c.computePre(f, d)
+	c.proc.AdvanceTo(f.completion)
+	c.opPost(f)
+}
+
+// computePre is Compute up to its clock advance: a compute span (when
+// tracing and d > 0) and the completion time.
+func (c *Core) computePre(f *opFrame, d sim.Duration) {
+	if d < 0 {
+		panic("rma: negative Compute")
 	}
-	c.proc.Advance(d)
+	f.c, f.op, f.pc = c, opCompute, 0
+	f.span = nil
+	if d > 0 {
+		f.span = c.beginSpan("compute", obs.BucketCompute, obs.Arg{Key: "ps", Val: int64(d)}, obs.Arg{})
+	}
+	f.completion = c.Now() + d
 }
 
 // Obs returns the chip's recorder, or nil when tracing is off. Layers

@@ -88,53 +88,14 @@ func (c *Core) finishFlagWait(o *obs.Recorder, own *mem.MPB, line int) uint64 {
 	return v
 }
 
-// TryFlagGE polls the flag in this core's own MPB line once, without
-// blocking. If the flag is ≥ seq it charges the one successful poll read
-// C^mpb_r(1) — exactly the final poll WaitFlagGE charges — and reports
-// true. A failed probe costs no virtual time (and has no memory side
-// effects at all), matching the modelling assumption that flag checking
-// overlaps the wait; it is the primitive under the non-blocking
-// collectives' Test/Progress path.
-func (c *Core) TryFlagGE(line int, seq uint64) bool {
-	if !c.ProbeFlagGE(line, seq) {
-		return false
-	}
-	o := c.beginSpan("flag.poll", obs.BucketWait,
-		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
-	c.proc.Advance(c.CMpbR(1))
-	ctr := c.counters()
-	ctr.MPBReadLines++
-	ctr.FlagWaits++
-	c.endSpan(o)
-	return true
-}
-
 // ProbeFlagGE reports whether the flag in this core's own MPB line is
 // already ≥ seq, charging no virtual time either way — the cheap
-// pre-check the progress engine runs before context-switching into a
-// parked protocol. A false result counts as a failed poll.
+// pre-check the progress engine runs before resuming a parked
+// protocol frame. A false result counts as a failed poll.
 func (c *Core) ProbeFlagGE(line int, seq uint64) bool {
 	if c.chip.MPB(c.id).ProbeU64(line, c.Now()) >= seq {
 		return true
 	}
 	c.counters().FlagPolls++
 	return false
-}
-
-// LocalFlag reads a flag from the core's own MPB without charging time —
-// for assertions and tests only.
-func (c *Core) LocalFlag(line int) uint64 {
-	return c.chip.MPB(c.id).PeekU64(line, c.Now())
-}
-
-// WriteLocalLine stores a full line into the core's own MPB, charging a
-// local line write C^mpb_w(1). Used to initialize buffers and flags.
-func (c *Core) WriteLocalLine(line int, data []byte) {
-	o := c.beginSpan("line.write", obs.BucketMPB,
-		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
-	eff := c.Now() + c.LMpbW(1)
-	c.chip.MPB(c.id).WriteLine(line, data, eff)
-	c.proc.Advance(c.CMpbW(1))
-	c.counters().MPBWriteLines++
-	c.endSpan(o)
 }

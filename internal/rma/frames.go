@@ -15,11 +15,12 @@ import (
 // reads, pre-yield counters) and a *post* step (deferred destination
 // writes, remaining counters, span close), with the completion time
 // carried between them in the core's embedded opFrame. The blocking
-// entry points in ops.go/flags.go run pre → AdvanceTo → post on the
-// body goroutine; the Call* entry points push the same frame onto the
-// proc's machine stack so inline protocol frames (rcce, core) execute
-// the identical op without parking a goroutine. One source of truth,
-// two drivers — the equivalence suite pins them byte-identical.
+// entry points in ops.go/flags.go/chip.go run pre → AdvanceTo → post
+// on the body goroutine; the Call* entry points push the same frame
+// onto the proc's machine stack so protocol frames (rcce, core,
+// occoll) execute the identical op without parking a goroutine. One
+// source of truth, two drivers — the equivalence suite pins them
+// byte-identical.
 
 // opFrame opcodes: which post step (deferred writes + counters) runs
 // after the completion-time yield. opWait is the multi-state flag wait.
@@ -28,7 +29,11 @@ const (
 	opPutMem
 	opGetMPB
 	opGetMem
+	opCombine
 	opSetFlag
+	opPoll
+	opWriteLocal
+	opCompute
 	opWait
 )
 
@@ -149,10 +154,20 @@ func (c *Core) opPost(f *opFrame) {
 		ctr.MPBReadLines += int64(f.m)
 		ctr.MemWriteLines += int64(f.m)
 		ctr.GetOps++
+	case opCombine:
+		f.dst.WriteLines(f.line, f.buf, f.m, f.eff0, f.stride)
+		ctr.MPBReadLines += int64(2 * f.m)
+		ctr.MPBWriteLines += int64(f.m)
+		ctr.GetOps++
 	case opSetFlag:
 		f.dst.WriteLine(f.line, c.flagBuf[:], f.eff0)
 		ctr.MPBWriteLines++
 		ctr.FlagSets++
+	case opPoll:
+		ctr.MPBReadLines++
+		ctr.FlagWaits++
+	case opWriteLocal:
+		ctr.MPBWriteLines++
 	}
 	c.endSpan(f.span)
 	f.span = nil
@@ -174,10 +189,10 @@ func (c *Core) Exec(f sim.Frame) { c.proc.Exec(f) }
 // clock, pushes the core's opFrame as a child, and returns StepCall
 // for the caller to propagate.
 
-// CallPutMPBToMPB is PutMPBToMPB as a child frame.
-func (c *Core) CallPutMPBToMPB(dst, dstLine, srcLine, m int) sim.StepStatus {
-	c.putMPBPre(&c.opf, dst, dstLine, srcLine, m)
-	c.proc.Call(&c.opf)
+// Call pushes f as a child of the running frame (see sim.Proc.Call)
+// and returns StepCall — how layers above rma nest their own frames.
+func (c *Core) Call(f sim.Frame) sim.StepStatus {
+	c.proc.Call(f)
 	return sim.StepCall
 }
 
@@ -202,6 +217,20 @@ func (c *Core) CallGetMPBToMem(src, srcLine, dstAddr, m int) sim.StepStatus {
 	return sim.StepCall
 }
 
+// CallGetMPBCombine is GetMPBCombine as a child frame.
+func (c *Core) CallGetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src []byte)) sim.StepStatus {
+	c.combinePre(&c.opf, src, srcLine, dstLine, m, combine)
+	c.proc.Call(&c.opf)
+	return sim.StepCall
+}
+
+// CallCompute is Compute as a child frame.
+func (c *Core) CallCompute(d sim.Duration) sim.StepStatus {
+	c.computePre(&c.opf, d)
+	c.proc.Call(&c.opf)
+	return sim.StepCall
+}
+
 // CallSetFlag is SetFlag as a child frame.
 func (c *Core) CallSetFlag(dst, line int, value uint64) sim.StepStatus {
 	c.setFlagPre(&c.opf, dst, line, value)
@@ -213,6 +242,41 @@ func (c *Core) CallSetFlag(dst, line int, value uint64) sim.StepStatus {
 // in the frame's result field; framed protocols don't consume it).
 func (c *Core) CallWaitFlagGE(line int, seq uint64) sim.StepStatus {
 	return c.callWait(line, false, seq)
+}
+
+// CallTryFlagGE polls the flag in this core's own MPB line once,
+// without blocking — the primitive under the non-blocking collectives'
+// Test/Progress path. If the flag is ≥ seq it pushes the one charged
+// poll read C^mpb_r(1) as a child frame — exactly the final poll
+// WaitFlagGE charges — and reports true; the caller then returns
+// StepCall. A failed probe costs no virtual time, counts as a failed
+// poll (see ProbeFlagGE) and reports false, matching the modelling
+// assumption that flag checking overlaps the wait.
+func (c *Core) CallTryFlagGE(line int, seq uint64) bool {
+	if !c.ProbeFlagGE(line, seq) {
+		return false
+	}
+	f := &c.opf
+	f.c, f.op, f.pc = c, opPoll, 0
+	f.span = c.beginSpan("flag.poll", obs.BucketWait,
+		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
+	f.completion = c.Now() + c.CMpbR(1)
+	c.proc.Call(f)
+	return true
+}
+
+// CallWriteLocalLine stores a full line into the core's own MPB,
+// charging a local line write C^mpb_w(1) — used to initialize buffers
+// and flags. The line is visible L^mpb_w(1) after the call.
+func (c *Core) CallWriteLocalLine(line int, data []byte) sim.StepStatus {
+	f := &c.opf
+	f.c, f.op, f.pc = c, opWriteLocal, 0
+	f.span = c.beginSpan("line.write", obs.BucketMPB,
+		obs.Arg{Key: "line", Val: int64(line)}, obs.Arg{})
+	c.chip.MPB(c.id).WriteLine(line, data, c.Now()+c.LMpbW(1))
+	f.completion = c.Now() + c.CMpbW(1)
+	c.proc.Call(f)
+	return sim.StepCall
 }
 
 // CallWaitFlagEQ is WaitFlagEQ as a child frame.

@@ -75,7 +75,7 @@ func (c *Core) opCompletion(analytic, portFinish sim.Time, tail sim.Duration, me
 }
 
 // finishOp is opCompletion plus the clock advance — the epilogue of the
-// ops that have no framed form (GetMPBCombine, ReadFlag, TryFlagGE).
+// ops that have no framed form (ReadFlag and the IPI-line ops).
 func (c *Core) finishOp(analytic, portFinish sim.Time, tail sim.Duration, meshFinish sim.Time) sim.Duration {
 	completion, delay := c.opCompletion(analytic, portFinish, tail, meshFinish)
 	c.proc.AdvanceTo(completion)
@@ -315,8 +315,18 @@ func (c *Core) getMPBPre(f *opFrame, src, srcLine, dstLine, m int) {
 // separately (one compute pass over the data), keeping the primitive's
 // cost purely communicational like the other ops.
 func (c *Core) GetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src []byte)) {
+	f := &c.opf
+	c.combinePre(f, src, srcLine, dstLine, m, combine)
+	c.proc.AdvanceTo(f.completion)
+	c.opPost(f)
+}
+
+// combinePre is GetMPBCombine up to the completion advance: the reads
+// and the fold happen here, the accumulator write-back in the post step.
+func (c *Core) combinePre(f *opFrame, src, srcLine, dstLine, m int, combine func(dst, src []byte)) {
 	checkLines(m)
-	o := c.beginSpan("get.combine", obs.BucketMPB,
+	f.c, f.op, f.pc = c, opCombine, 0
+	f.span = c.beginSpan("get.combine", obs.BucketMPB,
 		obs.Arg{Key: "src", Val: int64(src)}, obs.Arg{Key: "lines", Val: int64(m)})
 	p := c.chip.Cfg.Params
 	d := c.distMPB(src)
@@ -352,13 +362,9 @@ func (c *Core) GetMPBCombine(src, srcLine, dstLine, m int, combine func(dst, src
 	if ownPortW > port {
 		port = ownPortW
 	}
-	delay := c.finishOp(t, port, sim.Duration(d)*p.Lhop, mesh)
-	own.WriteLines(dstLine, mine, m, ownRead0+c.LMpbW(1)+delay, step)
-	ctr := c.counters()
-	ctr.MPBReadLines += int64(2 * m)
-	ctr.MPBWriteLines += int64(m)
-	ctr.GetOps++
-	c.endSpan(o)
+	f.completion, f.delay = c.opCompletion(t, port, sim.Duration(d)*p.Lhop, mesh)
+	f.dst, f.line, f.m, f.buf = own, dstLine, m, mine
+	f.eff0, f.stride = ownRead0+c.LMpbW(1)+f.delay, step
 }
 
 // GetMPBToMem copies m cache lines from core src's MPB into this core's

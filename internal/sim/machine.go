@@ -7,11 +7,11 @@ import "repro/internal/obs"
 // Proc.Exec) run as resumable state machines stepped directly on
 // whatever goroutine holds the control token — no channel send, no
 // goroutine park per yield — and every machine runnable at the head
-// timestamp drains in one scheduler pass. When false, Exec falls back
-// to the goroutine-per-proc scheduler, which stays around as the
-// executable spec. Both modes produce byte-identical simulated timings
-// and switch counts — SetInline exists so the equivalence suite can
-// prove it.
+// timestamp drains in one scheduler pass. When false, Exec steps the
+// frames on the proc's own goroutine under the goroutine-per-proc
+// scheduler, which stays around as the executable spec. Both modes
+// produce byte-identical simulated timings and switch counts —
+// SetInline exists so the equivalence suite can prove it.
 var inlineExec = true
 
 // SetInline sets the execution mode every engine latches at the start
@@ -62,34 +62,41 @@ type Frame interface {
 }
 
 // InlineActive reports whether the engine driving p latched inline
-// execution for the current run. Protocol layers branch on it to choose
-// between Exec'ing a frame and running the equivalent blocking body.
+// execution for the current run. Protocol layers that keep a blocking
+// body beside their frame branch on it.
 func (p *Proc) InlineActive() bool { return p.eng.inline }
 
 // Call pushes a child frame onto the proc's machine stack. Only valid
 // from within a Frame.Step that then returns StepCall.
 func (p *Proc) Call(f Frame) { p.frames = append(p.frames, f) }
 
-// Exec runs f as an inline machine section of the calling proc's body.
-// It returns when the frame (and every child it Calls) has completed,
+// Exec runs f as a machine section of the calling proc's body. It
+// returns when the frame (and every child it Calls) has completed,
 // with the proc's clock wherever the frame left it — exactly as if the
-// body had executed the equivalent blocking code. If the whole section
-// completes without the scheduler choosing another proc, Exec costs
-// zero channel operations; otherwise the body goroutine parks once for
-// the entire section (instead of once per yield) while the section's
-// remaining steps run on whichever goroutine holds the token.
+// body had executed the equivalent blocking code. It works in both
+// execution modes:
 //
-// Exec requires inline mode (callers branch on InlineActive) and must
-// not be called from within a frame — frames nest with Call.
+//   - inline: if the whole section completes without the scheduler
+//     choosing another proc, Exec costs zero channel operations;
+//     otherwise the body goroutine parks once for the entire section
+//     (instead of once per yield) while the section's remaining steps
+//     run on whichever goroutine holds the token.
+//   - goroutine (SetInline(false)): the body goroutine steps the frames
+//     itself and parks at every resume point the blocking code would —
+//     doYield on StepYield, blockOn's park and wake on StepBlock — so
+//     the same frames run under the executable-spec scheduler.
+//
+// Exec must not be called from within a frame — frames nest with Call.
 func (p *Proc) Exec(f Frame) {
 	e := p.eng
-	if !e.inline {
-		panic("sim: Exec without inline mode; gate callers on InlineActive")
-	}
 	if len(p.frames) != 0 {
 		panic("sim: Exec from within a machine; nest frames with Call")
 	}
 	p.frames = append(p.frames, f)
+	if !e.inline {
+		p.stepOnBody()
+		return
+	}
 	st := p.runMachine(true)
 	if st == machineDone {
 		// Section completed without ever losing the token.
@@ -123,6 +130,37 @@ func (p *Proc) Exec(f Frame) {
 		e.engch <- nil
 	}
 	<-p.resume
+}
+
+// stepOnBody is Exec's goroutine-mode driver: it steps the frame stack
+// on the proc's own goroutine, parking it wherever the blocking form of
+// the section would park. Schedulers never step these frames (drainToken
+// only steps machines in inline mode), so the stack stays put while the
+// goroutine is parked.
+func (p *Proc) stepOnBody() {
+	for {
+		switch p.frames[len(p.frames)-1].Step(p) {
+		case StepCall:
+			// Child pushed; next iteration steps it.
+		case StepDone:
+			n := len(p.frames) - 1
+			p.frames[n] = nil
+			p.frames = p.frames[:n]
+			if n == 0 {
+				return
+			}
+		case StepYield:
+			p.doYield()
+		case StepBlock:
+			// MachineBlock registered the watcher and emitted the block
+			// instant; park and emit the wake instant, as blockOn does.
+			p.slowYield()
+			p.wokeMachine = false
+			if o := p.eng.obs; o != nil {
+				o.Instant(p.id, int64(p.now), "sim", "wake", obs.Arg{}, obs.Arg{})
+			}
+		}
+	}
 }
 
 // machineStatus is how a runMachine stint ended: the section completed
@@ -241,9 +279,9 @@ func (p *Proc) MachineBlock(key WatchKey, cond Cond) {
 }
 
 // nextToken picks the proc that should run next, draining machine
-// steps inline: popped procs with a non-empty frame stack are stepped
-// on the calling goroutine until one completes its section (its body
-// goroutine must be resumed) or the queue empties. Because stepping
+// steps inline: in inline mode, popped procs with a non-empty frame
+// stack are stepped on the calling goroutine until one completes its
+// section (its body goroutine must be resumed) or the queue empties. Because stepping
 // never leaves this goroutine while machines yield to each other, every
 // machine proc runnable at the head timestamp executes in one pass with
 // zero channel operations — the same-clock batch. Returns nil when the
@@ -262,7 +300,7 @@ func (e *Engine) tokenFrom(p *Proc) *Proc {
 
 func (e *Engine) drainToken(q *Proc) *Proc {
 	for {
-		if q == nil || len(q.frames) == 0 {
+		if q == nil || len(q.frames) == 0 || !e.inline {
 			return q
 		}
 		switch q.runMachine(false) {

@@ -92,9 +92,10 @@ func (f *stressFrame) Step(p *Proc) StepStatus {
 
 // runMachineStress executes the handoff_test.go stress workload in the
 // requested execution × scheduling mode and returns the trace and
-// slow-path switch count. inline runs the body as an Exec'd frame;
-// otherwise the goroutine form runs (Advance/BlockCond directly).
-func runMachineStress(seed int64, nproc, steps int, inline, handoff bool) ([]stressEv, int64) {
+// slow-path switch count. frames runs the body as an Exec'd frame
+// (stepped by token holders when inline, on the body goroutine when
+// not); otherwise the blocking form runs (Advance/BlockCond directly).
+func runMachineStress(seed int64, nproc, steps int, inline, handoff, frames bool) ([]stressEv, int64) {
 	prevH := SetDirectHandoff(handoff)
 	defer SetDirectHandoff(prevH)
 	prevI := SetInline(inline)
@@ -102,13 +103,13 @@ func runMachineStress(seed int64, nproc, steps int, inline, handoff bool) ([]str
 
 	e := NewEngine(nproc)
 	c := &stressCtx{e: e, vals: make([]uint64, nproc), nproc: nproc, steps: steps}
-	frames := make([]stressFrame, nproc)
+	fs := make([]stressFrame, nproc)
 	conds := make([]stressCond, nproc)
 	e.Run(func(p *Proc) {
 		rng := rand.New(rand.NewSource(seed + int64(p.ID())*7919))
-		if p.InlineActive() {
-			frames[p.ID()] = stressFrame{c: c, rng: rng}
-			p.Exec(&frames[p.ID()])
+		if frames {
+			fs[p.ID()] = stressFrame{c: c, rng: rng}
+			p.Exec(&fs[p.ID()])
 			return
 		}
 		for s := 0; s < steps; s++ {
@@ -123,24 +124,28 @@ func runMachineStress(seed int64, nproc, steps int, inline, handoff bool) ([]str
 	return c.trace, e.Switches()
 }
 
-// TestMachineEquivalenceMatrix asserts all four execution × scheduling
-// modes — {inline, goroutine} × {handoff, classic} — produce identical
-// traces and slow-path switch counts on randomized workloads.
+// TestMachineEquivalenceMatrix asserts every execution × scheduling
+// mode — {inline frames, goroutine-stepped frames, blocking body} ×
+// {handoff, classic} — produces identical traces and slow-path switch
+// counts on randomized workloads.
 func TestMachineEquivalenceMatrix(t *testing.T) {
 	type mode struct {
-		name            string
-		inline, handoff bool
+		name                    string
+		inline, handoff, frames bool
 	}
 	modes := []mode{
-		{"inline+handoff", true, true},
-		{"inline+classic", true, false},
-		{"goroutine+handoff", false, true},
-		{"goroutine+classic", false, false},
+		{"inline+handoff", true, true, true},
+		{"inline+classic", true, false, true},
+		{"goroutine-frames+handoff", false, true, true},
+		{"goroutine-frames+classic", false, false, true},
+		{"goroutine+handoff", false, true, false},
+		{"goroutine+classic", false, false, false},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
-		ref, refSw := runMachineStress(seed, 9, 120, modes[0].inline, modes[0].handoff)
+		m0 := modes[0]
+		ref, refSw := runMachineStress(seed, 9, 120, m0.inline, m0.handoff, m0.frames)
 		for _, m := range modes[1:] {
-			got, gotSw := runMachineStress(seed, 9, 120, m.inline, m.handoff)
+			got, gotSw := runMachineStress(seed, 9, 120, m.inline, m.handoff, m.frames)
 			if len(got) != len(ref) {
 				t.Fatalf("seed %d: %s trace length %d, %s %d",
 					seed, modes[0].name, len(ref), m.name, len(got))

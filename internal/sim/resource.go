@@ -14,11 +14,6 @@ type Resource struct {
 	unit Duration // service time per unit
 	free Time     // next time the server is idle
 
-	// inflight holds finish times of reservations that may still be in
-	// the system; InflightAt prunes it. Used to measure instantaneous
-	// queue depth for load-dependent service policies.
-	inflight []Time
-
 	// Stats.
 	reservations int64
 	unitsServed  int64
@@ -64,37 +59,12 @@ func (r *Resource) reserve(t Time, service Duration, units int64) (finish Time) 
 	}
 	finish = start + service
 	r.free = finish
-	r.pruneFinished(t)
-	r.inflight = append(r.inflight, finish)
 
 	r.reservations++
 	r.unitsServed += units
 	r.busyTime += service
 	r.queuedTime += start - t
 	return finish
-}
-
-// InflightAt reports how many previously issued reservations are still in
-// the system (queued or in service) at time t. Because reservations are
-// issued in nondecreasing time order, pruning finished entries is exact.
-func (r *Resource) InflightAt(t Time) int {
-	r.pruneFinished(t)
-	return len(r.inflight)
-}
-
-// pruneFinished drops reservations already finished at t. Reservations
-// are issued in nondecreasing time order, so the finished set is an exact
-// prefix; compaction is in place so the slice keeps its capacity and
-// stops allocating once warm.
-func (r *Resource) pruneFinished(t Time) {
-	i := 0
-	for i < len(r.inflight) && r.inflight[i] <= t {
-		i++
-	}
-	if i > 0 {
-		n := copy(r.inflight, r.inflight[i:])
-		r.inflight = r.inflight[:n]
-	}
 }
 
 // NextFree reports when the server next becomes idle.
@@ -106,11 +76,9 @@ func (r *Resource) Stats() (reservations, units int64, busy, queued Duration) {
 	return r.reservations, r.unitsServed, r.busyTime, r.queuedTime
 }
 
-// Reset clears the server's schedule and statistics, keeping the warm
-// inflight buffer so a pooled chip's reruns stop allocating here.
+// Reset clears the server's schedule and statistics.
 func (r *Resource) Reset() {
 	r.free = 0
-	r.inflight = r.inflight[:0]
 	r.reservations = 0
 	r.unitsServed = 0
 	r.busyTime = 0
